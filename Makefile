@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/placement/ ./internal/sim/ ./internal/shard/
+	$(GO) test -race ./internal/placement/ ./internal/sim/ ./internal/shard/ ./internal/carbon/
 
 # lint runs the full static gate: formatting, the stdlib vet suite
 # (with the two determinism-adjacent passes named explicitly so they
@@ -28,15 +28,15 @@ bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # bench-guard reproduces the CI regression gate locally: the guarded
-# solver benchmarks and the carbon memo benchmark run, and their
-# combined output is compared against the BENCH_10.json baselines
+# solver benchmarks and the carbon trace-synthesis benchmark run, and
+# their combined output is compared against the BENCH_12.json baselines
 # (15% tolerance on machine-independent speedup ratios).
 bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmSolveChurn|BenchmarkIncrementalPlacement' \
 		-benchtime 3x . | tee /tmp/bench-guard.out
-	$(GO) test -run '^$$' -bench 'BenchmarkCarbonMixes' \
-		-benchtime 100x ./internal/carbon/ | tee -a /tmp/bench-guard.out
-	$(GO) run ./cmd/benchguard -baseline BENCH_10.json /tmp/bench-guard.out
+	$(GO) test -run '^$$' -bench 'BenchmarkTraceSynthesis' \
+		-benchtime 3x ./internal/carbon/ | tee -a /tmp/bench-guard.out
+	$(GO) run ./cmd/benchguard -baseline BENCH_12.json /tmp/bench-guard.out
 
 # bench-profile records CPU and allocation profiles of the two solver
 # hot-path benchmarks and prints the top-10 flat summaries. The

@@ -59,6 +59,11 @@ import (
 	"repro/internal/traffic"
 )
 
+// readHeaderTimeout bounds how long the API and debug listeners wait for
+// a client's request headers, so a stalled client cannot pin a
+// connection open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -185,7 +190,7 @@ func run(addr, dbgAddr, region, policy, scenario, faultsFile string, seed int64,
 		}
 	}()
 
-	srv := &http.Server{Addr: addr, Handler: tb.Orch.API()}
+	srv := &http.Server{Addr: addr, Handler: tb.Orch.API(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
 
@@ -199,7 +204,7 @@ func run(addr, dbgAddr, region, policy, scenario, faultsFile string, seed int64,
 		dbg.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dbgSrv = &http.Server{Addr: dbgAddr, Handler: dbg}
+		dbgSrv = &http.Server{Addr: dbgAddr, Handler: dbg, ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			if err := dbgSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("carbonedge: debug listener: %v", err)

@@ -84,6 +84,21 @@ func run() int {
 		return 2
 	}
 
+	// Profile from before the suite is built, so trace synthesis and world
+	// set-up show up in the profile alongside the experiments.
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cesim: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "cesim: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
 	suite, err := experiments.NewSuite(*seed, *hours)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cesim: %v\n", err)
@@ -102,19 +117,6 @@ func run() int {
 	})
 	suite.Obs = *obsFlag || (*all && !obsSet)
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cesim: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cesim: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
 	defer func() {
 		if *memProf == "" {
 			return

@@ -2,6 +2,9 @@ package carbon
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/rng"
@@ -28,6 +31,16 @@ import (
 // Carbon intensity per hour is the generation-weighted average of lifecycle
 // emission factors (§2.1). The process is fully deterministic given (zone
 // ID, seed).
+//
+// Each term is computed once at the level where it changes. A calendar
+// table, built once per call, holds the per-day terms (seasonal demand,
+// weekend dip, solar declination, hydro availability, seasonal wind mean)
+// and the 24 diurnal demand terms. Each zone maps UTC hours to local hours
+// and fixes its latitude term once, and each zone-day fixes its daylight
+// window, so an hour costs three normal draws, the daylight bell, and the
+// dispatch. GenerateTraces fans zones out over GOMAXPROCS goroutines; each
+// zone's stream is seeded from the generator seed and the zone ID alone,
+// so the traces do not depend on the worker count.
 type Generator struct {
 	// Seed fixes all stochastic weather processes.
 	Seed int64
@@ -55,93 +68,145 @@ func (g *Generator) Start() time.Time {
 // Intensity generates the zone's hourly carbon-intensity series
 // (g.CO2eq/kWh) for the whole year.
 func (g *Generator) Intensity(z *Zone) *timeseries.Series {
-	mixes := g.Mixes(z)
-	s := timeseries.New(g.Start(), len(mixes))
-	for i, m := range mixes {
-		s.Values[i] = m.Intensity()
-	}
+	s := timeseries.New(g.Start(), g.HoursInYear())
+	g.simulate(z, g.newCalendar(), nil, s.Values)
 	return s
 }
 
 // Mixes returns the zone's hourly generation mixes for the whole year.
-// Traces are memoized per (seed, year, zone fingerprint) — see memo.go —
-// so the merit-order simulation runs once per distinct zone and callers
-// get a private copy they may mutate freely.
 func (g *Generator) Mixes(z *Zone) []Mix {
-	return cachedMixes(g, z)
-}
-
-// generate runs the full-year merit-order simulation for one zone.
-func (g *Generator) generate(z *Zone) []Mix {
-	n := g.HoursInYear()
-	rng := rng.NewStd(zoneSeed(g.Seed, z.ID))
-	out := make([]Mix, n)
-
-	wind := windProcess{rng: rng, level: 0.3}
-	cloud := cloudProcess{rng: rng, level: 0.75}
-
-	start := g.Start()
-	for h := 0; h < n; h++ {
-		ts := start.Add(time.Duration(h) * time.Hour)
-		doy := ts.YearDay()
-		// Solar and demand shapes follow local solar time, approximated
-		// from longitude (15 degrees per hour).
-		local := math.Mod(float64(ts.Hour())+z.Location.Lon/15+48, 24)
-		hod := int(local)
-		dow := ts.Weekday()
-
-		demand := demandAt(hod, doy, dow, z.Region, rng)
-		out[h] = dispatch(z, demand, solarFactor(hod, doy, z.Location.Lat, cloud.step()), wind.step(doy), hydroSeason(doy))
-	}
+	out := make([]Mix, g.HoursInYear())
+	g.simulate(z, g.newCalendar(), out, nil)
 	return out
 }
 
-// demandAt models normalized demand: mean 1.0, double diurnal peak, weekend
-// dip, seasonal swing, and small noise.
-func demandAt(hod, doy int, dow time.Weekday, region Region, rng *rng.Rand) float64 {
-	// Diurnal: trough ~04:00, peaks ~09:00 and ~19:00.
-	diurnal := 0.10*math.Sin(2*math.Pi*float64(hod-7)/24) +
-		0.06*math.Sin(4*math.Pi*float64(hod-1)/24)
-	// Seasonal: winter-peaking in Europe (heating), summer-peaking in the
-	// US zones we model (cooling in FL/AZ).
-	seasonPhase := float64(doy-15) / 365.25 * 2 * math.Pi
-	var seasonal float64
-	if region == RegionUS {
-		seasonal = -0.08 * math.Cos(seasonPhase-math.Pi) // peak mid-summer
-	} else {
-		seasonal = 0.08 * math.Cos(seasonPhase) // peak mid-winter
-	}
-	weekend := 0.0
-	if dow == time.Saturday || dow == time.Sunday {
-		weekend = -0.05
-	}
-	d := 1 + diurnal + seasonal + weekend + 0.02*rng.NormFloat64()
-	if d < 0.5 {
-		d = 0.5
-	}
-	return d
+// calendar holds the model terms that depend only on the date: one row
+// per day of the year, and the diurnal demand term per local hour.
+type calendar struct {
+	days    []calendarDay
+	diurnal [24]float64
 }
 
-// solarFactor returns the solar fleet capacity factor in [0,1]: a clear-sky
-// bell across the daylight window scaled by cloudiness.
-func solarFactor(hod, doy int, lat, cloudiness float64) float64 {
-	// Day length varies with latitude and season; approximation good to
-	// ~30 minutes below the polar circles.
+// calendarDay holds one day's terms.
+type calendarDay struct {
+	// seasonUS and seasonEU are the seasonal demand terms: US zones peak
+	// in summer, all others in winter.
+	seasonUS, seasonEU float64
+	weekend            float64
+	tanDecl            float64 // see tanDeclination
+	hydro              float64 // see hydroSeason
+	windMean           float64 // see windProcess
+}
+
+// newCalendar tabulates the calendar terms of g's year.
+func (g *Generator) newCalendar() *calendar {
+	start := g.Start()
+	c := &calendar{days: make([]calendarDay, g.HoursInYear()/24)}
+	for hod := range c.diurnal {
+		// Diurnal: trough ~04:00, peaks ~09:00 and ~19:00.
+		c.diurnal[hod] = 0.10*math.Sin(2*math.Pi*float64(hod-7)/24) +
+			0.06*math.Sin(4*math.Pi*float64(hod-1)/24)
+	}
+	for i := range c.days {
+		day := &c.days[i]
+		doy := i + 1
+		// Seasonal: winter-peaking in Europe (heating), summer-peaking in
+		// the US zones we model (cooling in FL/AZ).
+		seasonPhase := float64(doy-15) / 365.25 * 2 * math.Pi
+		day.seasonUS = -0.08 * math.Cos(seasonPhase-math.Pi) // peak mid-summer
+		day.seasonEU = 0.08 * math.Cos(seasonPhase)          // peak mid-winter
+		if dow := start.AddDate(0, 0, i).Weekday(); dow == time.Saturday || dow == time.Sunday {
+			day.weekend = -0.05
+		}
+		day.tanDecl = tanDeclination(doy)
+		day.hydro = hydroSeason(doy)
+		// Seasonal wind mean: winter high (0.42), summer low (0.25).
+		day.windMean = 0.335 + 0.085*math.Cos(2*math.Pi*float64(doy-15)/365.25)
+	}
+	return c
+}
+
+// simulate runs the full-year merit-order simulation for one zone over
+// the calendar c. It stores each hour's mix in mixes and its intensity in
+// intensity; either may be nil.
+func (g *Generator) simulate(z *Zone, c *calendar, mixes []Mix, intensity []float64) {
+	rng := rng.NewStd(zoneSeed(g.Seed, z.ID))
+	wind := windProcess{rng: rng, level: 0.3}
+	cloud := cloudProcess{rng: rng, level: 0.75}
+
+	// Solar and demand shapes follow local solar time, approximated from
+	// longitude (15 degrees per hour).
+	var localHour [24]int
+	for utc := range localHour {
+		localHour[utc] = int(math.Mod(float64(utc)+z.Location.Lon/15+48, 24))
+	}
+	negTanLat := negTanLatitude(z.Location.Lat)
+
+	h := 0
+	for i := range c.days {
+		day := &c.days[i]
+		seasonal := day.seasonEU
+		if z.Region == RegionUS {
+			seasonal = day.seasonUS
+		}
+		dayLen, sunrise := daylight(negTanLat, day.tanDecl)
+		for _, hod := range localHour {
+			// The hour's three draws come from one stream in a fixed
+			// order: demand, then cloud, then wind (Go evaluates the
+			// dispatch arguments left to right). Normalized demand is
+			// floored at half the mean.
+			demand := 1 + c.diurnal[hod] + seasonal + day.weekend + 0.02*rng.NormFloat64()
+			if demand < 0.5 {
+				demand = 0.5
+			}
+			m := dispatch(z, demand, solarFactor(hod, dayLen, sunrise, cloud.step()), wind.step(day.windMean), day.hydro)
+			if mixes != nil {
+				mixes[h] = m
+			}
+			if intensity != nil {
+				intensity[h] = m.Intensity()
+			}
+			h++
+		}
+	}
+}
+
+// tanDeclination returns the tangent of the solar declination on day of
+// year doy.
+func tanDeclination(doy int) float64 {
 	decl := 23.44 * math.Sin(2*math.Pi*float64(doy-81)/365.25)
-	latR := lat * math.Pi / 180
 	declR := decl * math.Pi / 180
-	x := -math.Tan(latR) * math.Tan(declR)
+	return math.Tan(declR)
+}
+
+// negTanLatitude returns -tan of the latitude lat (degrees).
+func negTanLatitude(lat float64) float64 {
+	latR := lat * math.Pi / 180
+	return -math.Tan(latR)
+}
+
+// daylight returns the day length in hours and the local sunrise hour at
+// a latitude and day given as negTanLatitude and tanDeclination. The
+// approximation is good to ~30 minutes below the polar circles.
+func daylight(negTanLat, tanDecl float64) (dayLen, sunrise float64) {
+	x := negTanLat * tanDecl
 	if x < -1 {
 		x = -1
 	}
 	if x > 1 {
 		x = 1
 	}
-	dayLen := 2 * math.Acos(x) / math.Pi * 12 // hours
+	dayLen = 2 * math.Acos(x) / math.Pi * 12
+	return dayLen, 12 - dayLen/2
+}
+
+// solarFactor returns the solar fleet capacity factor in [0,1] at local
+// hour hod: a clear-sky bell across the daylight window scaled by
+// cloudiness.
+func solarFactor(hod int, dayLen, sunrise, cloudiness float64) float64 {
 	if dayLen <= 0.5 {
 		return 0
 	}
-	sunrise := 12 - dayLen/2
 	t := float64(hod) + 0.5
 	if t < sunrise || t > sunrise+dayLen {
 		return 0
@@ -162,9 +227,8 @@ type windProcess struct {
 	level float64
 }
 
-func (w *windProcess) step(doy int) float64 {
-	// Seasonal mean: winter high (0.42), summer low (0.25).
-	mean := 0.335 + 0.085*math.Cos(2*math.Pi*float64(doy-15)/365.25)
+// step advances the process one hour toward the seasonal mean.
+func (w *windProcess) step(mean float64) float64 {
 	w.level += 0.06*(mean-w.level) + 0.035*w.rng.NormFloat64()
 	if w.level < 0.02 {
 		w.level = 0.02
@@ -247,15 +311,43 @@ type TraceSet struct {
 	traces map[string]*timeseries.Series
 }
 
-// GenerateTraces produces a TraceSet covering every zone in the registry.
+// GenerateTraces produces a TraceSet covering every zone in the registry,
+// synthesizing zones in parallel on GOMAXPROCS goroutines.
 func (g *Generator) GenerateTraces(r *Registry) *TraceSet {
-	ts := &TraceSet{
-		Start:  g.Start(),
-		Hours:  g.HoursInYear(),
-		traces: make(map[string]*timeseries.Series, r.Len()),
+	return g.generateTraces(r, runtime.GOMAXPROCS(0))
+}
+
+// generateTraces synthesizes the registry's traces on up to workers
+// goroutines. A worker writes only the slot of the zone it claimed, and
+// the set is filled in registry order after all workers return, so the
+// result does not depend on scheduling.
+func (g *Generator) generateTraces(r *Registry, workers int) *TraceSet {
+	zones := r.Zones()
+	start, hours := g.Start(), g.HoursInYear()
+	c := g.newCalendar()
+	series := make([]*timeseries.Series, len(zones))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(zones)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(zones); i = int(next.Add(1)) - 1 {
+				s := timeseries.New(start, hours)
+				g.simulate(zones[i], c, nil, s.Values)
+				series[i] = s
+			}
+		}()
 	}
-	for _, z := range r.Zones() {
-		ts.traces[z.ID] = g.Intensity(z)
+	wg.Wait()
+
+	ts := &TraceSet{
+		Start:  start,
+		Hours:  hours,
+		traces: make(map[string]*timeseries.Series, len(zones)),
+	}
+	for i, z := range zones {
+		ts.traces[z.ID] = series[i]
 	}
 	return ts
 }

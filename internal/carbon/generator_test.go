@@ -2,9 +2,12 @@ package carbon
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/geo"
+	"repro/internal/rng"
 )
 
 func testZone(t *testing.T, id string) *Zone {
@@ -164,9 +167,16 @@ func TestWindSeasonality(t *testing.T) {
 	}
 }
 
+// solarAt evaluates the production solar helpers for one local hour, the
+// way the hourly loop composes them.
+func solarAt(hod, doy int, lat, cloudiness float64) float64 {
+	dayLen, sunrise := daylight(negTanLatitude(lat), tanDeclination(doy))
+	return solarFactor(hod, dayLen, sunrise, cloudiness)
+}
+
 func TestSolarFactorNightZero(t *testing.T) {
 	for doy := 1; doy <= 365; doy += 30 {
-		if got := solarFactor(0, doy, 40, 1); got != 0 {
+		if got := solarAt(0, doy, 40, 1); got != 0 {
 			t.Errorf("midnight solar (doy %d) = %v, want 0", doy, got)
 		}
 	}
@@ -175,10 +185,10 @@ func TestSolarFactorNightZero(t *testing.T) {
 func TestSolarFactorSummerLongerThanWinter(t *testing.T) {
 	var summerHours, winterHours int
 	for h := 0; h < 24; h++ {
-		if solarFactor(h, 172, 45, 1) > 0 {
+		if solarAt(h, 172, 45, 1) > 0 {
 			summerHours++
 		}
-		if solarFactor(h, 355, 45, 1) > 0 {
+		if solarAt(h, 355, 45, 1) > 0 {
 			winterHours++
 		}
 	}
@@ -230,4 +240,194 @@ func TestTraceSetRoundTrip(t *testing.T) {
 	if ts.Trace("nope") != nil {
 		t.Error("unknown zone should have nil trace")
 	}
+}
+
+// referenceMixes is the per-hour merit-order simulation the calendar-table
+// loop replaced, kept as the equivalence oracle: every term is
+// recomputed from the timestamp each hour.
+func referenceMixes(g *Generator, z *Zone) []Mix {
+	n := g.HoursInYear()
+	rng := rng.NewStd(zoneSeed(g.Seed, z.ID))
+	out := make([]Mix, n)
+
+	wind := referenceWind{rng: rng, level: 0.3}
+	cloud := cloudProcess{rng: rng, level: 0.75}
+
+	start := g.Start()
+	for h := 0; h < n; h++ {
+		ts := start.Add(time.Duration(h) * time.Hour)
+		doy := ts.YearDay()
+		// Solar and demand shapes follow local solar time, approximated
+		// from longitude (15 degrees per hour).
+		local := math.Mod(float64(ts.Hour())+z.Location.Lon/15+48, 24)
+		hod := int(local)
+		dow := ts.Weekday()
+
+		demand := referenceDemandAt(hod, doy, dow, z.Region, rng)
+		out[h] = dispatch(z, demand, referenceSolarFactor(hod, doy, z.Location.Lat, cloud.step()), wind.step(doy), hydroSeason(doy))
+	}
+	return out
+}
+
+func referenceDemandAt(hod, doy int, dow time.Weekday, region Region, rng *rng.Rand) float64 {
+	// Diurnal: trough ~04:00, peaks ~09:00 and ~19:00.
+	diurnal := 0.10*math.Sin(2*math.Pi*float64(hod-7)/24) +
+		0.06*math.Sin(4*math.Pi*float64(hod-1)/24)
+	// Seasonal: winter-peaking in Europe (heating), summer-peaking in the
+	// US zones we model (cooling in FL/AZ).
+	seasonPhase := float64(doy-15) / 365.25 * 2 * math.Pi
+	var seasonal float64
+	if region == RegionUS {
+		seasonal = -0.08 * math.Cos(seasonPhase-math.Pi) // peak mid-summer
+	} else {
+		seasonal = 0.08 * math.Cos(seasonPhase) // peak mid-winter
+	}
+	weekend := 0.0
+	if dow == time.Saturday || dow == time.Sunday {
+		weekend = -0.05
+	}
+	d := 1 + diurnal + seasonal + weekend + 0.02*rng.NormFloat64()
+	if d < 0.5 {
+		d = 0.5
+	}
+	return d
+}
+
+func referenceSolarFactor(hod, doy int, lat, cloudiness float64) float64 {
+	// Day length varies with latitude and season; approximation good to
+	// ~30 minutes below the polar circles.
+	decl := 23.44 * math.Sin(2*math.Pi*float64(doy-81)/365.25)
+	latR := lat * math.Pi / 180
+	declR := decl * math.Pi / 180
+	x := -math.Tan(latR) * math.Tan(declR)
+	if x < -1 {
+		x = -1
+	}
+	if x > 1 {
+		x = 1
+	}
+	dayLen := 2 * math.Acos(x) / math.Pi * 12 // hours
+	if dayLen <= 0.5 {
+		return 0
+	}
+	sunrise := 12 - dayLen/2
+	t := float64(hod) + 0.5
+	if t < sunrise || t > sunrise+dayLen {
+		return 0
+	}
+	bell := math.Sin(math.Pi * (t - sunrise) / dayLen)
+	return bell * bell * cloudiness
+}
+
+type referenceWind struct {
+	rng   *rng.Rand
+	level float64
+}
+
+func (w *referenceWind) step(doy int) float64 {
+	// Seasonal mean: winter high (0.42), summer low (0.25).
+	mean := 0.335 + 0.085*math.Cos(2*math.Pi*float64(doy-15)/365.25)
+	w.level += 0.06*(mean-w.level) + 0.035*w.rng.NormFloat64()
+	if w.level < 0.02 {
+		w.level = 0.02
+	}
+	if w.level > 0.95 {
+		w.level = 0.95
+	}
+	return w.level
+}
+
+// intensities reduces a mix series to its hourly carbon intensities.
+func intensities(mixes []Mix) []float64 {
+	out := make([]float64, len(mixes))
+	for h, m := range mixes {
+		out[h] = m.Intensity()
+	}
+	return out
+}
+
+func sameBits(a, b []float64) (int, bool) {
+	if len(a) != len(b) {
+		return -1, false
+	}
+	for h := range a {
+		if math.Float64bits(a[h]) != math.Float64bits(b[h]) {
+			return h, false
+		}
+	}
+	return 0, true
+}
+
+// TestTraceSynthesisMatchesReference pins the calendar-table loop to the
+// per-hour oracle bit for bit, for every zone of the default registry,
+// across seeds and a leap year, through Mixes, Intensity and
+// GenerateTraces at one and at GOMAXPROCS workers.
+func TestTraceSynthesisMatchesReference(t *testing.T) {
+	for _, seed := range []int64{42, 1, -3} {
+		reg, err := DefaultRegistry(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, year := range []int{2023, 2024} {
+			g := &Generator{Seed: seed, Year: year}
+			serial := g.generateTraces(reg, 1)
+			parallel := g.generateTraces(reg, runtime.GOMAXPROCS(0))
+			for _, ts := range []*TraceSet{serial, parallel} {
+				if len(ts.ZoneIDs()) != reg.Len() || ts.Hours != g.HoursInYear() || !ts.Start.Equal(g.Start()) {
+					t.Fatalf("seed %d year %d: trace set has %d zones, %d hours from %v", seed, year, len(ts.ZoneIDs()), ts.Hours, ts.Start)
+				}
+			}
+			for _, z := range reg.Zones() {
+				ref := referenceMixes(g, z)
+				mixes := g.Mixes(z)
+				if len(mixes) != len(ref) {
+					t.Fatalf("seed %d year %d %s: Mixes has %d hours, want %d", seed, year, z.ID, len(mixes), len(ref))
+				}
+				for h := range ref {
+					for s := range ref[h] {
+						if math.Float64bits(mixes[h][s]) != math.Float64bits(ref[h][s]) {
+							t.Fatalf("seed %d year %d %s: Mixes hour %d source %v = %v, want %v", seed, year, z.ID, h, Source(s), mixes[h][s], ref[h][s])
+						}
+					}
+				}
+				for name, got := range map[string][]float64{
+					"Intensity":         g.Intensity(z).Values,
+					"GenerateTraces(1)": serial.Trace(z.ID).Values,
+					"GenerateTraces(N)": parallel.Trace(z.ID).Values,
+				} {
+					if h, ok := sameBits(got, intensities(ref)); !ok {
+						t.Fatalf("seed %d year %d %s: %s differs from the reference at hour %d", seed, year, z.ID, name, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTraceSynthesis synthesizes the default registry's traces with
+// the per-hour oracle and with the production loop at one worker, and
+// reports their ratio: a machine-independent speedup the bench guard
+// gates on (BENCH_12.json). The two passes alternate within each
+// iteration so drift in machine speed hits both alike.
+func BenchmarkTraceSynthesis(b *testing.B) {
+	reg, err := DefaultRegistry(42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := NewGenerator(42)
+	var refNs, prodNs int64
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		for _, z := range reg.Zones() {
+			intensities(referenceMixes(g, z))
+		}
+		t1 := time.Now()
+		g.generateTraces(reg, 1)
+		t2 := time.Now()
+		refNs += t1.Sub(t0).Nanoseconds()
+		prodNs += t2.Sub(t1).Nanoseconds()
+	}
+	b.ReportMetric(float64(refNs)/float64(b.N)/1e6, "reference_ms")
+	b.ReportMetric(float64(prodNs)/float64(b.N)/1e6, "production_ms")
+	b.ReportMetric(float64(refNs)/float64(prodNs), "trace_synth_speedup_x")
 }

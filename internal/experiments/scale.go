@@ -188,7 +188,8 @@ func (r *Fig17Result) String() string {
 }
 
 // AblationSolverResult compares the exact MILP backend against the
-// heuristic on instances the exact solver can handle (DESIGN.md ablation 1).
+// heuristic on instances the exact solver can handle (`cesim -exp
+// ablation-solver`).
 type AblationSolverResult struct {
 	Instances    int
 	MeanGapPct   float64
@@ -268,7 +269,7 @@ func (r *AblationSolverResult) String() string {
 }
 
 // AblationForecastResult compares forecast models feeding the placement
-// loop (DESIGN.md ablation 2).
+// loop (`cesim -exp ablation-forecast`).
 type AblationForecastResult struct {
 	// CarbonG per forecaster name.
 	CarbonG map[string]float64
@@ -313,8 +314,8 @@ func (r *AblationForecastResult) String() string {
 	return table("Ablation (forecast model): carbon under each forecaster (oracle = lower bound)", rows)
 }
 
-// AblationBatchResult sweeps the placement batching interval (DESIGN.md
-// ablation 3).
+// AblationBatchResult sweeps the placement batching interval (`cesim -exp
+// ablation-batch`).
 type AblationBatchResult struct {
 	// CarbonG and Batches per batch-hours setting.
 	CarbonG map[int]float64
@@ -356,8 +357,8 @@ func (r *AblationBatchResult) String() string {
 	return table("Ablation (batch interval): placement quality vs solver invocations", rows)
 }
 
-// AblationActivationResult toggles the server-activation term (DESIGN.md
-// ablation 4).
+// AblationActivationResult toggles the server-activation term (`cesim -exp
+// ablation-activation`).
 type AblationActivationResult struct {
 	WithTermG    float64
 	WithoutTermG float64
