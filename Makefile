@@ -28,15 +28,18 @@ bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # bench-guard reproduces the CI regression gate locally: the guarded
-# solver benchmarks and the carbon trace-synthesis benchmark run, and
-# their combined output is compared against the BENCH_12.json baselines
-# (15% tolerance on machine-independent speedup ratios).
+# solver benchmarks, the carbon trace-synthesis benchmark and the sketch
+# bucket-index benchmark run, and their combined output is compared
+# against the BENCH_13.json baselines (15% tolerance on
+# machine-independent speedup ratios).
 bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmSolveChurn|BenchmarkIncrementalPlacement' \
 		-benchtime 3x . | tee /tmp/bench-guard.out
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceSynthesis' \
 		-benchtime 3x ./internal/carbon/ | tee -a /tmp/bench-guard.out
-	$(GO) run ./cmd/benchguard -baseline BENCH_12.json /tmp/bench-guard.out
+	$(GO) test -run '^$$' -bench 'BenchmarkSketchIndex' \
+		-benchtime 3x ./internal/metrics/ | tee -a /tmp/bench-guard.out
+	$(GO) run ./cmd/benchguard -baseline BENCH_13.json /tmp/bench-guard.out
 
 # bench-profile records CPU and allocation profiles of the two solver
 # hot-path benchmarks and prints the top-10 flat summaries. The

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -123,9 +124,7 @@ func TestSketchMerge(t *testing.T) {
 			right.Add(v)
 		}
 	}
-	if err := left.Merge(right); err != nil {
-		t.Fatal(err)
-	}
+	left.Merge(right)
 	if left.Count() != whole.Count() {
 		t.Fatalf("merged count %d, want %d", left.Count(), whole.Count())
 	}
@@ -138,8 +137,9 @@ func TestSketchMerge(t *testing.T) {
 		t.Errorf("merged extremes [%.4f, %.4f] != whole [%.4f, %.4f]",
 			left.Min(), left.Max(), whole.Min(), whole.Max())
 	}
-	if err := left.Merge(nil); err != nil {
-		t.Errorf("nil merge: %v", err)
+	left.Merge(nil) // a nil merge is a no-op
+	if left.Count() != whole.Count() {
+		t.Errorf("nil merge changed the count to %d", left.Count())
 	}
 }
 
@@ -228,23 +228,17 @@ func TestSketchEmptyEdgeCases(t *testing.T) {
 		{"empty quantile", NewQuantileSketch, 0, math.NaN()},
 		{"empty merged into empty", func() *QuantileSketch {
 			s := NewQuantileSketch()
-			if err := s.Merge(NewQuantileSketch()); err != nil {
-				t.Fatal(err)
-			}
+			s.Merge(NewQuantileSketch())
 			return s
 		}, 0, math.NaN()},
 		{"empty merged into filled", func() *QuantileSketch {
 			s := filled()
-			if err := s.Merge(NewQuantileSketch()); err != nil {
-				t.Fatal(err)
-			}
+			s.Merge(NewQuantileSketch())
 			return s
 		}, 5, 3},
 		{"filled merged into empty", func() *QuantileSketch {
 			s := NewQuantileSketch()
-			if err := s.Merge(filled()); err != nil {
-				t.Fatal(err)
-			}
+			s.Merge(filled())
 			return s
 		}, 5, 3},
 	}
@@ -283,9 +277,7 @@ func TestSketchMergeEmptyKeepsMinMax(t *testing.T) {
 	s := NewQuantileSketch()
 	s.Add(10)
 	s.Add(20)
-	if err := s.Merge(NewQuantileSketch()); err != nil {
-		t.Fatal(err)
-	}
+	s.Merge(NewQuantileSketch())
 	if s.Min() != 10 || s.Max() != 20 || s.Count() != 2 {
 		t.Errorf("merge of empty skewed the sketch: min=%v max=%v n=%d", s.Min(), s.Max(), s.Count())
 	}
@@ -302,13 +294,10 @@ func TestSketchSelfMergeDoubles(t *testing.T) {
 		s.Add(v)
 	}
 	p50 := s.Quantile(0.5)
-	done := make(chan error, 1)
-	go func() { done <- s.Merge(s) }()
+	done := make(chan struct{})
+	go func() { s.Merge(s); close(done) }()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("self-merge deadlocked")
 	}
@@ -355,9 +344,7 @@ func TestSketchStateRoundTrip(t *testing.T) {
 	}
 	// Restored sketches keep full resolution: merging with a fresh sketch
 	// must still work.
-	if err := restored.Merge(NewQuantileSketch()); err != nil {
-		t.Fatalf("merge after restore: %v", err)
-	}
+	restored.Merge(NewQuantileSketch())
 	if _, err := SketchFromState(SketchState{}); err == nil {
 		t.Error("zero-value sketch state accepted")
 	}
@@ -379,6 +366,213 @@ func TestSummaryAndCounterStateRoundTrip(t *testing.T) {
 	for _, l := range c.Labels() {
 		if rc.Get(l) != c.Get(l) {
 			t.Errorf("counter %s: %d vs %d", l, rc.Get(l), c.Get(l))
+		}
+	}
+}
+
+// logIndex is the bucket formula the index table is built from, kept as
+// the oracle: ceil(log(v/lowest)/log(gamma)), with NaN, negatives and
+// everything up to lowest in bucket 0 and everything past the last
+// bound (+Inf included) in the last bucket.
+func logIndex(v float64) int {
+	if math.IsNaN(v) || v <= sketchLowest {
+		return 0
+	}
+	x := math.Ceil(math.Log(v/sketchLowest) / math.Log(sketchGamma))
+	if x >= sketchBuckets-1 {
+		return sketchBuckets - 1
+	}
+	return int(x)
+}
+
+// TestSketchIndexMatchesLogOracle pins the table index to the log
+// formula: at every ulp within 256 of each nominal bucket bound
+// lowest·gamma^i and of each table bound, on 5M log-uniform samples over [1e-4, 1e9], and at the
+// edge values.
+func TestSketchIndexMatchesLogOracle(t *testing.T) {
+	tbl := bucketIndex()
+	check := func(v float64) {
+		t.Helper()
+		if got, want := tbl.index(v), logIndex(v); got != want {
+			t.Fatalf("index(%v [%#x]) = %d, log formula says %d", v, math.Float64bits(v), got, want)
+		}
+	}
+	// Around the nominal bounds (which sit up to ~250 ulps from the
+	// formula's) and around the table's own bounds.
+	for i := 0; i < sketchBuckets; i++ {
+		for _, c := range []float64{sketchLowest * math.Pow(sketchGamma, float64(i)), tbl.upper[i]} {
+			if math.IsInf(c, 1) {
+				continue // the last bucket has no finite bound
+			}
+			b := math.Float64bits(c)
+			for d := uint64(0); d <= 256; d++ {
+				check(math.Float64frombits(b - d))
+				check(math.Float64frombits(b + d))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	lo, hi := math.Log(1e-4), math.Log(1e9)
+	for k := 0; k < 5_000_000; k++ {
+		check(math.Exp(lo + (hi-lo)*rng.Float64()))
+	}
+	for _, v := range []float64{0, sketchLowest, math.SmallestNonzeroFloat64, 1e300, math.MaxFloat64, math.Inf(1)} {
+		check(v)
+	}
+}
+
+// TestSketchAddInfAndClampedValues is the regression for +Inf: it used to
+// index a negative bucket and panic; it now lands in the last bucket with
+// Max exact. NaN and negatives keep clamping to 0 in bucket 0.
+func TestSketchAddInfAndClampedValues(t *testing.T) {
+	s := NewQuantileSketch()
+	s.AddN(math.Inf(1), 3)
+	st := s.State()
+	if len(st.Buckets) != sketchBuckets || st.Buckets[sketchBuckets-1] != 3 {
+		t.Fatalf("+Inf not in the last bucket: %d trimmed buckets", len(st.Buckets))
+	}
+	if !math.IsInf(s.Max(), 1) || !math.IsInf(s.Quantile(1), 1) {
+		t.Errorf("max = %v, q1 = %v, want +Inf", s.Max(), s.Quantile(1))
+	}
+
+	c := NewQuantileSketch()
+	c.AddN(math.NaN(), 2)
+	c.AddN(-7, 5)
+	c.AddN(math.Inf(-1), 1)
+	st = c.State()
+	if len(st.Buckets) != 1 || st.Buckets[0] != 8 {
+		t.Errorf("NaN/negatives: buckets %v, want [8]", st.Buckets)
+	}
+	if c.Min() != 0 || c.Max() != 0 || c.Sum() != 0 {
+		t.Errorf("NaN/negatives: min=%v max=%v sum=%v, want 0", c.Min(), c.Max(), c.Sum())
+	}
+}
+
+// TestSketchAddBatchMatchesAddN: one AddBatch equals AddN over the same
+// observations in order, down to the bits of the floating-point sum.
+func TestSketchAddBatchMatchesAddN(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	obs := make([]Weighted, 20000)
+	for i := range obs {
+		obs[i] = Weighted{V: math.Exp(rng.NormFloat64()*2 + 2), N: int64(rng.Intn(2000)) - 10}
+	}
+	obs = append(obs, Weighted{V: 0, N: 4}, Weighted{V: math.NaN(), N: 2}, Weighted{V: -3, N: 1}, Weighted{V: 1e9, N: 1})
+	seq, batch := NewQuantileSketch(), NewQuantileSketch()
+	seq.AddN(12.5, 7) // both start non-empty
+	batch.AddN(12.5, 7)
+	for _, o := range obs {
+		seq.AddN(o.V, o.N)
+	}
+	batch.AddBatch(obs)
+	batch.AddBatch(nil)
+	a, b := seq.State(), batch.State()
+	if math.Float64bits(a.Sum) != math.Float64bits(b.Sum) {
+		t.Errorf("sum bits %#x vs %#x", math.Float64bits(a.Sum), math.Float64bits(b.Sum))
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("AddBatch state diverges from sequential AddN")
+	}
+}
+
+// TestSketchFromStateRejectsCorrupt: a state no sketch could have
+// exported is refused with an error instead of restoring a sketch that
+// panics on its next Add or allocates what NumBkts says.
+func TestSketchFromStateRejectsCorrupt(t *testing.T) {
+	good := func() SketchState {
+		s := NewQuantileSketch()
+		s.AddN(2, 3)
+		s.AddN(40, 1)
+		return s.State()
+	}
+	if _, err := SketchFromState(good()); err != nil {
+		t.Fatalf("valid state refused: %v", err)
+	}
+	cases := []struct {
+		name string
+		edit func(*SketchState)
+	}{
+		{"NaN lowest", func(s *SketchState) { s.Lowest = math.NaN() }},
+		{"+Inf lowest", func(s *SketchState) { s.Lowest = math.Inf(1) }},
+		{"NaN gamma", func(s *SketchState) { s.Gamma = math.NaN() }},
+		{"+Inf gamma", func(s *SketchState) { s.Gamma = math.Inf(1) }},
+		{"other lowest", func(s *SketchState) { s.Lowest = 1e-2 }},
+		{"other gamma", func(s *SketchState) { s.Gamma = 1.05 }},
+		{"huge bucket count", func(s *SketchState) { s.NumBkts = 1 << 40 }},
+		{"other bucket count", func(s *SketchState) { s.NumBkts = sketchBuckets + 1 }},
+		{"negative bucket count", func(s *SketchState) { s.NumBkts = -1 }},
+		{"too many buckets", func(s *SketchState) { s.Buckets = make([]uint64, sketchBuckets+1) }},
+		{"count above buckets", func(s *SketchState) { s.Count++ }},
+		{"count below buckets", func(s *SketchState) { s.Count-- }},
+		{"bucket overflow", func(s *SketchState) { s.Buckets[0] = math.MaxUint64; s.Count = 3 }},
+		{"NaN sum", func(s *SketchState) { s.Sum = math.NaN() }},
+		{"NaN min", func(s *SketchState) { s.Min = math.NaN() }},
+		{"min above max", func(s *SketchState) { s.Min = s.Max + 1 }},
+		{"negative min", func(s *SketchState) { s.Min = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := good()
+			tc.edit(&st)
+			if _, err := SketchFromState(st); err == nil {
+				t.Errorf("corrupt state accepted: %+v", st)
+			}
+		})
+	}
+}
+
+// BenchmarkSketchIndex times the log formula and the table index over
+// the same log-uniform latencies, the two passes interleaved in every
+// iteration, and reports their ratio as sketch_index_speedup_x: a
+// machine-independent figure the bench guard gates on (BENCH_13.json).
+func BenchmarkSketchIndex(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 4096)
+	for i := range vals {
+		vals[i] = math.Exp(math.Log(0.5) + (math.Log(500)-math.Log(0.5))*rng.Float64())
+	}
+	tbl := bucketIndex()
+	const rounds = 64
+	var logNs, tableNs int64
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		for r := 0; r < rounds; r++ {
+			for _, v := range vals {
+				sink += logIndex(v)
+			}
+		}
+		t1 := time.Now()
+		for r := 0; r < rounds; r++ {
+			for _, v := range vals {
+				sink += tbl.index(v)
+			}
+		}
+		t2 := time.Now()
+		logNs += t1.Sub(t0).Nanoseconds()
+		tableNs += t2.Sub(t1).Nanoseconds()
+	}
+	if sink < 0 {
+		b.Fatal("unreachable")
+	}
+	per := float64(b.N) * rounds * float64(len(vals))
+	b.ReportMetric(float64(logNs)/per, "log_ns")
+	b.ReportMetric(float64(tableNs)/per, "table_ns")
+	b.ReportMetric(float64(logNs)/float64(tableNs), "sketch_index_speedup_x")
+}
+
+// TestBuiltinMinMaxMatchMath: the sketch tracks extremes with the
+// builtin min/max, which must agree bit for bit with math.Min/Max on
+// every value the sketch can hold, signed zeros and infinities included.
+func TestBuiltinMinMaxMatchMath(t *testing.T) {
+	vals := []float64{math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1e-3, 1, 17.25, 1e300, math.Inf(1)}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := min(a, b), math.Min(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("min(%v, %v) = %v, math.Min %v", a, b, got, want)
+			}
+			if got, want := max(a, b), math.Max(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("max(%v, %v) = %v, math.Max %v", a, b, got, want)
+			}
 		}
 	}
 }

@@ -178,7 +178,18 @@ type Slice struct {
 	// ziOK marks which entries are populated.
 	zi   []float64
 	ziOK []bool
+	// lats[:nlats] holds served latencies in assignment order, filed
+	// into Stats.Latency under one sketch lock when lats fills and at
+	// Close.
+	lats  [latBatch]metrics.Weighted
+	nlats int
 }
+
+// latBatch is how many latency entries a slice buffers per sketch lock:
+// a regional simulator slice files about 2000 (40 sources over some 50
+// replicas), so the lock is taken a handful of times per slice, and the
+// buffer stays a fixed 4 KB per router.
+const latBatch = 256
 
 // reslice grows b to exactly n elements, reusing capacity when possible.
 // Contents are unspecified; callers overwrite every element.
@@ -200,6 +211,7 @@ func (s *Slice) reset(replicas []Replica, seconds float64) {
 	s.ziOK = reslice(s.ziOK, n)
 	s.feasible = s.feasible[:0]
 	s.infeasible = s.infeasible[:0]
+	s.nlats = 0
 	s.dropped = 0
 	s.closed = false
 	for i := range replicas {
@@ -209,22 +221,12 @@ func (s *Slice) reset(replicas []Replica, seconds float64) {
 	}
 }
 
-// NewSlice opens a routing window of the given duration over a replica
-// set. The replica order is the deterministic tie-break order. Each call
-// returns an independent slice, so concurrently opened slices (over
-// distinct routers) never share scratch; hot loops over a single router
-// should prefer ReuseSlice.
-func (r *Router) NewSlice(replicas []Replica, seconds float64) *Slice {
-	s := &Slice{r: r}
-	s.reset(replicas, seconds)
-	return s
-}
-
-// ReuseSlice opens a routing window over the router-owned reusable
-// slice: after the first call, opening and routing a slice performs no
-// steady-state allocations. At most one reused slice may be live per
-// router at a time — the caller must Close it before the next
-// ReuseSlice call. Routing behavior is identical to NewSlice.
+// ReuseSlice opens a routing window of the given duration over a
+// replica set, on the router-owned reusable slice. The replica order is
+// the deterministic tie-break order. After the first call, opening and
+// routing a slice performs no steady-state allocations. At most one slice
+// may be live per router at a time: the caller must Close it before the
+// next ReuseSlice call, and Served is recycled by that call.
 func (r *Router) ReuseSlice(replicas []Replica, seconds float64) *Slice {
 	s := r.reuse
 	if s == nil {
@@ -375,7 +377,11 @@ func (s *Slice) assign(i int, n int64, latMs float64, spill bool, intensity func
 	if spill {
 		st.Spilled += n
 	}
-	st.Latency.AddN(latMs, n)
+	if s.nlats == latBatch {
+		s.flushLats()
+	}
+	s.lats[s.nlats] = metrics.Weighted{V: latMs, N: n}
+	s.nlats++
 
 	kwh := float64(n) * rep.EnergyPerReqJ / 3.6e6
 	grams := kwh * s.zoneIntensity(i, intensity)
@@ -401,23 +407,31 @@ func (s *Slice) assign(i int, n int64, latMs float64, spill bool, intensity func
 	}
 }
 
+// flushLats files the buffered latencies into Stats.Latency, in order.
+func (s *Slice) flushLats() {
+	s.r.stats.Latency.AddBatch(s.lats[:s.nlats])
+	s.nlats = 0
+}
+
 // Served returns the per-replica request counts assigned so far this
-// slice (indexed like the replica set; do not modify). For a reused
-// slice the backing array is recycled by the next ReuseSlice call.
+// slice (indexed like the replica set; do not modify). The backing array
+// is recycled by the next ReuseSlice call.
 func (s *Slice) Served() []int64 { return s.served }
 
 // Dropped returns the requests dropped so far this slice.
 func (s *Slice) Dropped() int64 { return s.dropped }
 
-// Close finalizes the slice: per-replica served counts flush into
-// Stats.ByReplica (one Inc per replica instead of one per waterfill
-// assignment) and a slice that dropped requests marks one overload
-// interval. Stats readers must wait for Close. Closing twice is a no-op.
+// Close finalizes the slice: the buffered latencies file into
+// Stats.Latency, per-replica served counts flush into Stats.ByReplica
+// (one Inc per replica instead of one per waterfill assignment), and a
+// slice that dropped requests marks one overload interval. Stats readers
+// must wait for Close. Closing twice is a no-op.
 func (s *Slice) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
+	s.flushLats()
 	for i, n := range s.served {
 		if n > 0 {
 			s.r.stats.ByReplica.Inc(s.replicas[i].ID, n)

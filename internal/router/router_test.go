@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // testRTT is a small symmetric latency table.
@@ -55,7 +57,7 @@ func TestRouterValidation(t *testing.T) {
 
 func TestRouteWithinCapacityMeetsSLO(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
-	sl := r.NewSlice(testReplicas(), 100) // 1000-request budget per replica
+	sl := r.ReuseSlice(testReplicas(), 100) // 1000-request budget per replica
 	sl.Route("Miami", 900, flatCI)
 	sl.Close()
 
@@ -86,7 +88,7 @@ func TestRouteProportionalToFreeCapacity(t *testing.T) {
 		{ID: "small", City: "Orlando", ZoneID: "Z", CapacityRPS: 25, ServiceMs: 5, EnergyPerReqJ: 1},
 	}
 	r := mustRouter(t, Config{SLOms: 30, RTT: testRTT})
-	sl := r.NewSlice(reps, 100) // budgets 7500 / 2500
+	sl := r.ReuseSlice(reps, 100) // budgets 7500 / 2500
 	sl.Route("Miami", 4000, flatCI)
 	sl.Close()
 	served := sl.Served()
@@ -102,7 +104,7 @@ func TestSpillOverOnSaturation(t *testing.T) {
 		{ID: "far", City: "Far", ZoneID: "Z", CapacityRPS: 100, ServiceMs: 8, EnergyPerReqJ: 1},
 	}
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
-	sl := r.NewSlice(reps, 10) // near fits 10 requests, far 1000
+	sl := r.ReuseSlice(reps, 10) // near fits 10 requests, far 1000
 	sl.Route("Miami", 200, flatCI)
 	sl.Close()
 
@@ -125,7 +127,7 @@ func TestSpillOverOnSaturation(t *testing.T) {
 
 func TestDropWhenAllSaturated(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
-	sl := r.NewSlice(testReplicas(), 1) // 10-request budget per replica
+	sl := r.ReuseSlice(testReplicas(), 1) // 10-request budget per replica
 	sl.Route("Miami", 100, flatCI)
 	if sl.Dropped() != 70 {
 		t.Errorf("dropped=%d, want 70", sl.Dropped())
@@ -149,7 +151,7 @@ func TestRoutingDeterministic(t *testing.T) {
 	run := func() Snapshot {
 		r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
 		for slice := 0; slice < 5; slice++ {
-			sl := r.NewSlice(testReplicas(), 60)
+			sl := r.ReuseSlice(testReplicas(), 60)
 			sl.Route("Miami", 700, flatCI)
 			sl.Route("Orlando", 500, flatCI)
 			sl.Route("Far", 300, flatCI)
@@ -165,7 +167,7 @@ func TestRoutingDeterministic(t *testing.T) {
 
 func TestPerReplicaSnapshot(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
-	sl := r.NewSlice(testReplicas(), 100)
+	sl := r.ReuseSlice(testReplicas(), 100)
 	sl.Route("Tampa", 600, flatCI)
 	sl.Close()
 	snap := r.Stats().Snapshot()
@@ -192,7 +194,7 @@ func TestPerReplicaSnapshot(t *testing.T) {
 
 func TestZeroAndClosedSliceRouting(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
-	sl := r.NewSlice(testReplicas(), 100)
+	sl := r.ReuseSlice(testReplicas(), 100)
 	sl.Route("Miami", 0, flatCI)
 	sl.Route("Miami", -5, flatCI)
 	sl.Close()
@@ -212,7 +214,7 @@ func TestFullyDrainedPool(t *testing.T) {
 	for i := range replicas {
 		replicas[i].CapacityRPS = 0
 	}
-	sl := r.NewSlice(replicas, 100)
+	sl := r.ReuseSlice(replicas, 100)
 	sl.Route("Miami", 500, flatCI)
 	sl.Route("Orlando", 250, flatCI)
 	sl.Close()
@@ -264,9 +266,9 @@ func TestFullyDrainedPool(t *testing.T) {
 // the served share.
 func TestPoolDrainsMidSlice(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
-	sl := r.NewSlice(testReplicas(), 10) // 100-request budget per replica
-	sl.Route("Miami", 250, flatCI)       // fills Miami + Orlando + Tampa (300 cap)
-	sl.Route("Miami", 200, flatCI)       // only 50 left; 150 must drop
+	sl := r.ReuseSlice(testReplicas(), 10) // 100-request budget per replica
+	sl.Route("Miami", 250, flatCI)         // fills Miami + Orlando + Tampa (300 cap)
+	sl.Route("Miami", 200, flatCI)         // only 50 left; 150 must drop
 	sl.Close()
 
 	st := r.Stats()
@@ -319,11 +321,115 @@ func TestReuseRouteAtZeroAlloc(t *testing.T) {
 // per scrape-history.
 func TestStatsSnapshotAllocsBounded(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
-	sl := r.NewSlice(testReplicas(), 100)
+	sl := r.ReuseSlice(testReplicas(), 100)
 	sl.Route("Miami", 900, flatCI)
 	sl.Close()
 	st := r.Stats()
 	if got := testing.AllocsPerRun(100, func() { _ = st.Snapshot() }); got > 6 {
 		t.Errorf("stats scrape allocates %.1f/op, want a small constant", got)
+	}
+}
+
+// TestSliceLatencyMatchesSequentialAddN: the latencies a slice buffers
+// leave Stats.Latency exactly as one AddN per waterfill assignment, in
+// assignment order, would — the sum's bits included — wherever the
+// buffer happens to flush. The slice mixes sources, saturation and
+// spill-over so the waterfill makes several passes, and files more than
+// latBatch entries so the buffer flushes mid-slice.
+func TestSliceLatencyMatchesSequentialAddN(t *testing.T) {
+	reps := testReplicas()
+	reps[1].CapacityRPS = 3
+	route := func(r *Router, each func(sl *Slice, route func())) {
+		sl := r.ReuseSlice(reps, 300)
+		for k := 0; k < 150; k++ {
+			src := []string{"Miami", "Orlando", "Far", "Tampa"}[k%4]
+			each(sl, func() { sl.Route(src, int64(7+13*(k%9)), flatCI) })
+		}
+		sl.Close()
+		sl.Close() // a second Close files nothing more
+	}
+	prior := metrics.NewQuantileSketch()
+	prior.AddN(11.5, 2) // the routers' sketches already hold earlier slices
+	newRouter := func() *Router {
+		r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
+		if err := r.RestoreStats(StatsState{Latency: prior.State()}); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	// Reference: flush before each Route, then replay that Route's
+	// buffered entries through AddN.
+	want := metrics.NewQuantileSketch()
+	want.AddN(11.5, 2)
+	ref := newRouter()
+	var entries int
+	route(ref, func(sl *Slice, route func()) {
+		sl.flushLats()
+		route()
+		for _, o := range sl.lats[:sl.nlats] {
+			want.AddN(o.V, o.N)
+		}
+		entries += sl.nlats
+	})
+	// Under test: the buffer flushes on its own.
+	r := newRouter()
+	route(r, func(_ *Slice, route func()) { route() })
+
+	st := r.Stats()
+	if entries <= latBatch || want.Count()-2 != st.Requests-st.Dropped || st.Dropped == 0 || st.Spilled == 0 {
+		t.Fatalf("slice too tame: %d entries, %d served of %d, %d dropped, %d spilled",
+			entries, want.Count()-2, st.Requests, st.Dropped, st.Spilled)
+	}
+	for name, got := range map[string]metrics.SketchState{"reference": ref.Stats().Latency.State(), "buffered": st.Latency.State()} {
+		exp := want.State()
+		if math.Float64bits(got.Sum) != math.Float64bits(exp.Sum) || !reflect.DeepEqual(got, exp) {
+			t.Errorf("%s slice latency state diverges from sequential AddN:\ngot  %+v\nwant %+v", name, got, exp)
+		}
+	}
+}
+
+// TestRestoreStatsRejectsCorruptSketch: a checkpoint whose latency
+// sketch state is corrupt, at the router level or in one replica's
+// aggregates, fails to restore with an error and leaves the router's
+// stats untouched.
+func TestRestoreStatsRejectsCorruptSketch(t *testing.T) {
+	src := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+	sl := src.ReuseSlice(testReplicas(), 100)
+	sl.Route("Miami", 900, flatCI)
+	sl.Close()
+	corrupt := []struct {
+		name string
+		edit func(*metrics.SketchState)
+	}{
+		{"NaN lowest", func(s *metrics.SketchState) { s.Lowest = math.NaN() }},
+		{"+Inf gamma", func(s *metrics.SketchState) { s.Gamma = math.Inf(1) }},
+		{"huge bucket count", func(s *metrics.SketchState) { s.NumBkts = 1 << 40 }},
+		{"count mismatch", func(s *metrics.SketchState) { s.Count += 5 }},
+	}
+	for _, tc := range corrupt {
+		for _, where := range []string{"router", "replica"} {
+			t.Run(tc.name+"/"+where, func(t *testing.T) {
+				st := src.Stats().State()
+				if where == "router" {
+					tc.edit(&st.Latency)
+				} else {
+					rs := st.Replicas["mia"]
+					tc.edit(&rs.Latency)
+					st.Replicas["mia"] = rs
+				}
+				dst := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+				if err := dst.RestoreStats(st); err == nil {
+					t.Fatal("corrupt sketch state restored")
+				}
+				if dst.Stats().Requests != 0 || dst.Stats().Latency.Count() != 0 {
+					t.Error("failed restore changed the router's stats")
+				}
+			})
+		}
+	}
+	dst := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+	if err := dst.RestoreStats(src.Stats().State()); err != nil {
+		t.Fatalf("valid state refused: %v", err)
 	}
 }

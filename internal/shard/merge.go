@@ -144,9 +144,7 @@ func mergeTraffic(dst, src *router.StatsState) error {
 	if err != nil {
 		return fmt.Errorf("merging traffic latency: %w", err)
 	}
-	if err := a.Merge(b); err != nil {
-		return fmt.Errorf("merging traffic latency: %w", err)
-	}
+	a.Merge(b)
 	dst.Latency = a.State()
 	if dst.ByReplica == nil {
 		dst.ByReplica = map[string]int64{}
@@ -176,9 +174,7 @@ func mergeTraffic(dst, src *router.StatsState) error {
 			if err != nil {
 				return fmt.Errorf("merging replica %s latency: %w", id, err)
 			}
-			if err := ca.Merge(cb); err != nil {
-				return fmt.Errorf("merging replica %s latency: %w", id, err)
-			}
+			ca.Merge(cb)
 			cur.Latency = ca.State()
 			dst.Replicas[id] = cur
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/carbon"
 	"repro/internal/events"
+	"repro/internal/metrics"
 	"repro/internal/placement"
 	"repro/internal/traffic"
 )
@@ -227,5 +229,61 @@ func TestRestoredResultMatchesDeepEqual(t *testing.T) {
 	if !reflect.DeepEqual(stripClock(uninterrupted), stripClock(resumed)) {
 		t.Errorf("resumed result differs structurally:\nresumed:       %+v\nuninterrupted: %+v",
 			stripClock(resumed), stripClock(uninterrupted))
+	}
+}
+
+// TestTrafficRestoreRejectsCorruptSketch: a traffic-mode snapshot whose
+// latency sketch state is corrupt fails both ResultState.Restore and
+// NewEngineFrom with an error, instead of restoring a sketch that panics
+// on the next routed slice or allocates what the state claims.
+func TestTrafficRestoreRejectsCorruptSketch(t *testing.T) {
+	w := testWorld(t)
+	cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
+	cfg.Hours = 24
+	cfg.Traffic = &traffic.Config{Scenario: traffic.FlashCrowd, RPS: 900}
+	e, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Epoch() < 6 {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := json.Marshal(e.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func() *Snapshot {
+		var snap Snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return &snap
+	}
+	if _, err := NewEngineFrom(cfg, w, load()); err != nil {
+		t.Fatalf("valid snapshot refused: %v", err)
+	}
+	cases := []struct {
+		name string
+		edit func(*metrics.SketchState)
+	}{
+		{"NaN lowest", func(s *metrics.SketchState) { s.Lowest = math.NaN() }},
+		{"+Inf gamma", func(s *metrics.SketchState) { s.Gamma = math.Inf(1) }},
+		{"other resolution", func(s *metrics.SketchState) { s.Gamma = 1.01 }},
+		{"huge bucket count", func(s *metrics.SketchState) { s.NumBkts = 1 << 40 }},
+		{"count mismatch", func(s *metrics.SketchState) { s.Count-- }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := load()
+			tc.edit(&snap.Result.Traffic.Latency)
+			if _, err := snap.Result.Restore(); err == nil {
+				t.Error("ResultState.Restore accepted a corrupt traffic sketch")
+			}
+			if _, err := NewEngineFrom(cfg, w, snap); err == nil {
+				t.Error("NewEngineFrom accepted a corrupt traffic sketch")
+			}
+		})
 	}
 }
